@@ -83,6 +83,8 @@ gen:
 	$(GO) run ./cmd/sgc -builtin -loc -o internal/gen
 
 # Static analysis beyond the compiler (see DESIGN.md §7):
+#   - gofmt -l: every Go file outside testdata (and outside hidden build
+#     directories such as .bench_build) must be gofmt-clean;
 #   - go vet: the standard checks;
 #   - sgvet: the runtime-contract analyzers (determinism, atomicstate,
 #     stubdiscipline, shadowbuiltin) plus missingdoc over the
@@ -100,6 +102,8 @@ gen:
 #   - sgc check -builtin: the bounded exhaustive recovery model checker
 #     (SG2xx, docs/MODELCHECK.md) over the six system services.
 lint:
+	@unformatted=$$(find . \( -name testdata -o -name '.?*' \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/sgvet internal/kernel internal/core internal/swifi \
 		internal/codegen internal/gen/genrt internal/gen/genevent \

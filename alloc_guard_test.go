@@ -1,10 +1,12 @@
 package superglue
 
 import (
+	"runtime"
 	"testing"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/core"
+	"superglue/internal/fault"
 	"superglue/internal/kernel"
 	"superglue/internal/obs"
 	"superglue/internal/services/event"
@@ -237,5 +239,34 @@ func TestStorageQuorumWriteAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(512, write)
 	if allocs > 8 {
 		t.Errorf("quorum SaveSlice allocates %.1f objects/op, want <= 8", allocs)
+	}
+}
+
+// TestRecorderShortRunBytes pins what one traced SWIFI trial pays for its
+// recorder: a default-capacity Recorder that records 40 events (a trial
+// records 11–40) must allocate well under the 4096-event ring it may grow
+// to (~360 KiB if preallocated), because the ring grows on demand.
+func TestRecorderShortRunBytes(t *testing.T) {
+	const budget = 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := obs.NewRecorder(0)
+	for i := 0; i < 40; i++ {
+		comp := int32(2 + i%3)
+		switch i % 4 {
+		case 0:
+			r.RecordInvoke(comp, 1, "fn", int64(i), 0)
+		case 1:
+			r.RecordFault(comp, 1, "fn", int64(i), 0, fault.KindRegisterFlip, fault.SevError)
+		case 2:
+			r.RecordReboot(comp, 1, int64(i), 1, 5, 2)
+		default:
+			r.RecordRecovery(obs.MechR0, comp, 1, "fn", int64(i), 1, 3, 1)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("NewRecorder(0) + 40 events allocated %d bytes, want < %d", got, budget)
 	}
 }

@@ -108,6 +108,28 @@ func BenchmarkSWIFICampaign(b *testing.B) {
 	b.ReportMetric(100*res.ActivationRatio(), "%activation")
 }
 
+// BenchmarkSWIFICampaignTraced is BenchmarkSWIFICampaign as the e2ebench
+// swifi-table2 workload runs it: every trial traced into its own
+// recorder and folded into the campaign snapshot, on two workers. Its
+// B/op and allocs/op are what one traced trial costs, set-up included.
+func BenchmarkSWIFICampaignTraced(b *testing.B) {
+	b.ReportAllocs()
+	res, err := swifi.Run(swifi.Config{
+		Service:  "lock",
+		Workload: swifi.Workloads()["lock"],
+		Iters:    3,
+		Trials:   b.N,
+		Seed:     2026,
+		Profile:  swifi.Profiles()["lock"],
+		Trace:    true,
+		Workers:  2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(100*res.SuccessRate(), "%success")
+}
+
 // benchWebServer is one Fig. 7 bar: b.N requests through the variant.
 func benchWebServer(b *testing.B, variant webserver.Variant, faultEvery int) {
 	n := b.N

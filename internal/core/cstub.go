@@ -93,7 +93,8 @@ func (s *ClientStub) Server() kernel.ComponentID { return s.server }
 // Client returns the owning client component.
 func (s *ClientStub) Client() *Client { return s.client }
 
-// Spec returns the interface specification.
+// Spec returns the interface specification. A builtin service's spec is
+// shared by every System that registered it: read it, do not modify it.
 func (s *ClientStub) Spec() *Spec { return s.entry.spec }
 
 // Metrics returns a snapshot of the stub's counters. Safe to call from any

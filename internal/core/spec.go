@@ -452,6 +452,23 @@ var ErrInvalidSpec = errors.New("core: invalid interface specification")
 //   - every function is reachable from s0 in the state machine (checked by
 //     NewStateMachine).
 func (s *Spec) Validate() error {
+	_, err := s.validatedMachine()
+	return err
+}
+
+// validatedMachine checks the model rules Validate lists and compiles
+// the state machine, which validates reachability: the one pass shared by
+// Validate and Compile.
+func (s *Spec) validatedMachine() (*StateMachine, error) {
+	if err := s.checkModel(); err != nil {
+		return nil, err
+	}
+	return NewStateMachine(s)
+}
+
+// checkModel checks every rule of Validate except state-machine
+// reachability.
+func (s *Spec) checkModel() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: %s", ErrInvalidSpec, s.Service, fmt.Sprintf(format, args...))
 	}
@@ -619,10 +636,6 @@ func (s *Spec) Validate() error {
 		default:
 			return fail("sm_fault(%s, %s): action must be reboot, retry, or degrade", kind, action)
 		}
-	}
-	// The state machine itself validates reachability.
-	if _, err := NewStateMachine(s); err != nil {
-		return err
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/fault"
@@ -103,14 +104,18 @@ type fnInfo struct {
 	retAccum  string
 }
 
-// serverEntry is the per-server bookkeeping the runtime keeps.
-type serverEntry struct {
-	spec  *Spec
-	sm    *StateMachine
-	class storage.Class
-	comp  kernel.ComponentID
-	stubs []*ClientStub
-	fns   map[string]*fnInfo
+// CompiledSpec is a validated Spec together with everything the runtime
+// derives from it: the descriptor state machine with its precomputed
+// recovery walks, the per-function dispatch records, and the sizing hints
+// for new descriptors. Compile builds it once and the runtime only reads
+// it afterwards, so one value may be registered into any number of
+// Systems, concurrently included: the builtin services share one per
+// process (see lock.Compiled). A shared value must not be modified, its
+// Spec included.
+type CompiledSpec struct {
+	spec *Spec
+	sm   *StateMachine
+	fns  map[string]*fnInfo
 	// hasHold records whether any interface function is a hold: when none
 	// is, no per-thread tracking entry can exist, and the stub's tracking
 	// fast path skips the PerThread map probe on blocking/wakeup/release
@@ -121,6 +126,51 @@ type serverEntry struct {
 	// functions in the spec.
 	dataHint int
 	fnHint   int
+}
+
+// Compile validates spec and compiles it for registration. The result
+// keeps spec itself, not a copy, so a spec compiled for sharing must not
+// be modified afterwards.
+func Compile(spec *Spec) (*CompiledSpec, error) {
+	sm, err := spec.validatedMachine()
+	if err != nil {
+		return nil, err
+	}
+	c := &CompiledSpec{spec: spec, sm: sm, fns: compileFns(spec), fnHint: len(spec.Funcs)}
+	dataNames := make(map[string]struct{})
+	for _, f := range spec.Funcs {
+		c.hasHold = c.hasHold || c.fns[f.Name].isHold
+		for _, p := range f.Params {
+			if p.Role == RoleDescData {
+				dataNames[p.Name] = struct{}{}
+			}
+		}
+	}
+	c.dataHint = len(dataNames)
+	return c, nil
+}
+
+// CompileOnce returns a function that parses (with parse) and compiles a
+// specification on its first call and returns that same CompiledSpec, or
+// error, on every call after: the process-wide compiled value a builtin
+// service's Register boots from.
+func CompileOnce(parse func() (*Spec, error)) func() (*CompiledSpec, error) {
+	return sync.OnceValues(func() (*CompiledSpec, error) {
+		spec, err := parse()
+		if err != nil {
+			return nil, err
+		}
+		return Compile(spec)
+	})
+}
+
+// serverEntry is the per-server bookkeeping the runtime keeps: the shared
+// compiled specification plus this System's own state for the server.
+type serverEntry struct {
+	*CompiledSpec
+	class storage.Class
+	comp  kernel.ComponentID
+	stubs []*ClientStub
 }
 
 // compileFns builds the per-function dispatch records.
@@ -393,40 +443,29 @@ func (s *System) invokeStorage(t *kernel.Thread, fn string, args ...kernel.Word)
 	}
 }
 
-// RegisterServer boots a recoverable server component: it validates the
-// interface specification, compiles the state machine, wraps the component's
-// clean image with the SuperGlue server-side stub, and registers the result
-// with the kernel. The factory is the µ-reboot image: every reboot
-// constructs a fresh instance (re-wrapped in a fresh stub).
+// RegisterServer boots a recoverable server component from an
+// uncompiled specification: Compile followed by RegisterCompiled. spec
+// belongs to the System afterwards.
 func (s *System) RegisterServer(spec *Spec, factory func() kernel.Service) (kernel.ComponentID, error) {
-	if err := spec.Validate(); err != nil {
-		return 0, err
-	}
-	if _, dup := s.byName[spec.Service]; dup {
-		return 0, fmt.Errorf("core: server %q already registered", spec.Service)
-	}
-	sm, err := NewStateMachine(spec)
+	c, err := Compile(spec)
 	if err != nil {
 		return 0, err
 	}
+	return s.RegisterCompiled(c, factory)
+}
+
+// RegisterCompiled boots a recoverable server component: it wraps the
+// component's clean image with the SuperGlue server-side stub and
+// registers the result with the kernel. The factory is the µ-reboot image:
+// every reboot constructs a fresh instance (re-wrapped in a fresh stub).
+// c is only read, so one CompiledSpec serves any number of Systems.
+func (s *System) RegisterCompiled(c *CompiledSpec, factory func() kernel.Service) (kernel.ComponentID, error) {
+	spec := c.spec
+	if _, dup := s.byName[spec.Service]; dup {
+		return 0, fmt.Errorf("core: server %q already registered", spec.Service)
+	}
 	s.nextClass++
-	entry := &serverEntry{spec: spec, sm: sm, class: s.nextClass, fns: compileFns(spec)}
-	for _, f := range spec.Funcs {
-		if entry.fns[f.Name].isHold {
-			entry.hasHold = true
-			break
-		}
-	}
-	entry.fnHint = len(spec.Funcs)
-	dataNames := make(map[string]struct{})
-	for _, f := range spec.Funcs {
-		for _, p := range f.Params {
-			if p.Role == RoleDescData {
-				dataNames[p.Name] = struct{}{}
-			}
-		}
-	}
-	entry.dataHint = len(dataNames)
+	entry := &serverEntry{CompiledSpec: c, class: s.nextClass}
 	comp, err := s.kern.Register(func() kernel.Service {
 		return newServerStub(s, entry, factory())
 	})
@@ -448,7 +487,9 @@ func (s *System) RegisterServer(spec *Spec, factory func() kernel.Service) (kern
 	return comp, nil
 }
 
-// ServerSpec returns the spec of a registered server.
+// ServerSpec returns the spec of a registered server. A builtin service's
+// spec is shared by every System that registered it: read it, do not
+// modify it.
 func (s *System) ServerSpec(comp kernel.ComponentID) (*Spec, bool) {
 	e, ok := s.servers[comp]
 	if !ok {

@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // This file implements campaign-level snapshot aggregation: the SWIFI
 // engine gives every trial its own private Recorder and folds the
 // per-trial snapshots into one campaign snapshot in trial-index order,
@@ -26,8 +24,9 @@ import "sort"
 // by a single final Trim. The streaming SWIFI campaign engine depends
 // on exactly this equivalence (DESIGN.md §14).
 //
-// Merge never aliases o's storage; o remains valid and unchanged. The
-// zero Snapshot is a valid receiver (the empty merge base).
+// Merge updates s's own tables in place where it can and never aliases
+// o's storage; o remains valid and unchanged. The zero Snapshot is a
+// valid receiver (the empty merge base).
 func (s *Snapshot) Merge(o Snapshot) {
 	s.mergeAggregates(o)
 	next := uint64(0)
@@ -101,13 +100,17 @@ func (s *Snapshot) mergeAggregates(o Snapshot) {
 // events, mirroring the ring-buffer semantics of a single Recorder:
 // older events are dropped (counted in DroppedEvents) and the survivors
 // keep their global sequence numbers. capacity <= 0 trims nothing.
+//
+// Trim reslices rather than copies: the survivors stay where they are,
+// and the next Merge that outgrows the slice moves only them into a new
+// array. A rolling merge that trims after every fold therefore copies
+// the capacity-sized window once per many folds, not once per fold, and
+// the dropped prefix is garbage from that move on.
 func (s *Snapshot) Trim(capacity int) {
 	if capacity <= 0 || len(s.Events) <= capacity {
 		return
 	}
-	kept := make([]Event, capacity)
-	copy(kept, s.Events[len(s.Events)-capacity:])
-	s.Events = kept
+	s.Events = s.Events[len(s.Events)-capacity:]
 	s.DroppedEvents = s.TotalEvents - uint64(len(s.Events))
 }
 
@@ -127,27 +130,100 @@ func mergeCountMap(a, b map[string]uint64) map[string]uint64 {
 	return a
 }
 
-// mergeMechanisms adds b's cells into a's, matching by mechanism name.
-// With full set, every mechanism of the paper taxonomy is present in
-// the result (the Snapshot invariant); otherwise only non-zero cells
-// survive (the per-component representation).
-func mergeMechanisms(a, b []MechanismSnapshot, full bool) []MechanismSnapshot {
-	cells := make(map[string]MechStat, NumMechanisms)
-	for _, m := range a {
-		cells[m.Mechanism] = m.MechStat
-	}
-	for _, m := range b {
-		cell := cells[m.Mechanism]
-		cell.merge(m.MechStat)
-		cells[m.Mechanism] = cell
-	}
-	var out []MechanismSnapshot
-	for _, m := range Mechanisms() {
-		cell, ok := cells[m.String()]
-		if !full && (!ok || cell.Count == 0) {
-			continue
+// mechSlot maps a paper mechanism name to its Mechanism; ok is false for
+// names outside the R0…U0 taxonomy, which a fold drops.
+func mechSlot(name string) (Mechanism, bool) {
+	for m := MechR0; m <= MechU0; m++ {
+		if m.String() == name {
+			return m, true
 		}
-		out = append(out, MechanismSnapshot{Mechanism: m.String(), MechStat: cell})
+	}
+	return MechNone, false
+}
+
+// mergeMechanisms adds b's cells into a's through a fixed per-mechanism
+// array, matching by mechanism name. With full set, every mechanism of
+// the paper taxonomy is present in the result (the Snapshot invariant);
+// otherwise only non-zero cells survive (the per-component
+// representation). The result reuses a's storage when it fits and never
+// aliases b.
+func mergeMechanisms(a, b []MechanismSnapshot, full bool) []MechanismSnapshot {
+	var cells [NumMechanisms]MechStat
+	for _, c := range a {
+		if m, ok := mechSlot(c.Mechanism); ok {
+			cells[m] = c.MechStat
+		}
+	}
+	for _, c := range b {
+		if m, ok := mechSlot(c.Mechanism); ok {
+			cells[m].merge(c.MechStat)
+		}
+	}
+	n := 0
+	for m := MechR0; m <= MechU0; m++ {
+		if full || cells[m].Count > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := a[:0]
+	if cap(out) < n {
+		out = make([]MechanismSnapshot, 0, n)
+	}
+	for m := MechR0; m <= MechU0; m++ {
+		if full || cells[m].Count > 0 {
+			out = append(out, MechanismSnapshot{Mechanism: m.String(), MechStat: cells[m]})
+		}
+	}
+	return out
+}
+
+// mergeByKey merge-joins two tables sorted by strictly increasing key
+// (the Snapshot invariant for components, cores and replicas). A row of
+// b whose key a already holds is folded into a's row by add; any other
+// row is inserted in key order as clone(row), so the result never
+// aliases b. When b brings no new key, a is updated in place.
+func mergeByKey[T any](a, b []T, key func(*T) int64, add func(dst, src *T), clone func(T) T) []T {
+	fresh := 0
+	for i, j := 0, 0; j < len(b); {
+		switch {
+		case i < len(a) && key(&a[i]) < key(&b[j]):
+			i++
+		case i < len(a) && key(&a[i]) == key(&b[j]):
+			i++
+			j++
+		default:
+			fresh++
+			j++
+		}
+	}
+	if fresh == 0 {
+		for i, j := 0, 0; j < len(b); i++ {
+			if key(&a[i]) == key(&b[j]) {
+				add(&a[i], &b[j])
+				j++
+			}
+		}
+		return a
+	}
+	out := make([]T, 0, len(a)+fresh)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && key(&a[i]) < key(&b[j])):
+			out = append(out, a[i])
+			i++
+		case i < len(a) && key(&a[i]) == key(&b[j]):
+			add(&a[i], &b[j])
+			out = append(out, a[i])
+			i++
+			j++
+		default:
+			out = append(out, clone(b[j]))
+			j++
+		}
 	}
 	return out
 }
@@ -156,27 +232,14 @@ func mergeMechanisms(a, b []MechanismSnapshot, full bool) []MechanismSnapshot {
 // migration counters; the result is sorted by core (the Snapshot
 // invariant). Nil in, nil out when both sides are empty.
 func mergeCores(a, b []CoreSnapshot) []CoreSnapshot {
-	if len(b) == 0 {
-		return a
-	}
-	byCore := make(map[int]CoreSnapshot, len(a)+len(b))
-	for _, c := range a {
-		byCore[c.Core] = c
-	}
-	for _, c := range b {
-		cur := byCore[c.Core]
-		cur.Core = c.Core
-		cur.MigrationsIn += c.MigrationsIn
-		cur.MigrationsOut += c.MigrationsOut
-		cur.CrossCoreInvocations += c.CrossCoreInvocations
-		byCore[c.Core] = cur
-	}
-	out := make([]CoreSnapshot, 0, len(byCore))
-	for _, c := range byCore {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Core < out[j].Core })
-	return out
+	return mergeByKey(a, b,
+		func(c *CoreSnapshot) int64 { return int64(c.Core) },
+		func(dst, src *CoreSnapshot) {
+			dst.MigrationsIn += src.MigrationsIn
+			dst.MigrationsOut += src.MigrationsOut
+			dst.CrossCoreInvocations += src.CrossCoreInvocations
+		},
+		func(c CoreSnapshot) CoreSnapshot { return c })
 }
 
 // mergeStorage folds b's storage-replication aggregates into a's:
@@ -190,24 +253,15 @@ func mergeStorage(a, b *StorageSnapshot) *StorageSnapshot {
 	if a == nil {
 		a = &StorageSnapshot{}
 	}
-	byRep := make(map[int]StorageReplicaSnapshot, len(a.Replicas)+len(b.Replicas))
-	for _, rs := range a.Replicas {
-		byRep[rs.Replica] = rs
-	}
-	for _, rs := range b.Replicas {
-		cur := byRep[rs.Replica]
-		cur.Replica = rs.Replica
-		cur.Writes += rs.Writes
-		cur.Checkpoints += rs.Checkpoints
-		cur.Rebuilds += rs.Rebuilds
-		cur.Repairs += rs.Repairs
-		byRep[rs.Replica] = cur
-	}
-	a.Replicas = a.Replicas[:0]
-	for _, rs := range byRep {
-		a.Replicas = append(a.Replicas, rs)
-	}
-	sort.Slice(a.Replicas, func(i, j int) bool { return a.Replicas[i].Replica < a.Replicas[j].Replica })
+	a.Replicas = mergeByKey(a.Replicas, b.Replicas,
+		func(rs *StorageReplicaSnapshot) int64 { return int64(rs.Replica) },
+		func(dst, src *StorageReplicaSnapshot) {
+			dst.Writes += src.Writes
+			dst.Checkpoints += src.Checkpoints
+			dst.Rebuilds += src.Rebuilds
+			dst.Repairs += src.Repairs
+		},
+		func(rs StorageReplicaSnapshot) StorageReplicaSnapshot { return rs })
 	a.QuorumRepairs += b.QuorumRepairs
 	a.QuorumLost += b.QuorumLost
 	if b.RebuildLatency != nil {
@@ -225,39 +279,25 @@ func mergeStorage(a, b *StorageSnapshot) *StorageSnapshot {
 // summing counters and adding mechanism cells; the result is sorted by
 // ID (the Snapshot invariant).
 func mergeComponents(a, b []ComponentSnapshot) []ComponentSnapshot {
-	if len(b) == 0 {
-		return a
-	}
-	byID := make(map[int32]ComponentSnapshot, len(a)+len(b))
-	for _, c := range a {
-		byID[c.ID] = c
-	}
-	for _, c := range b {
-		cur, ok := byID[c.ID]
-		if !ok {
+	return mergeByKey(a, b,
+		func(c *ComponentSnapshot) int64 { return int64(c.ID) },
+		func(dst, src *ComponentSnapshot) {
+			if dst.Name == "" {
+				dst.Name = src.Name
+			}
+			dst.Invokes += src.Invokes
+			dst.Upcalls += src.Upcalls
+			dst.Faults += src.Faults
+			dst.Reboots += src.Reboots
+			dst.Degraded += src.Degraded
+			dst.Mechanisms = mergeMechanisms(dst.Mechanisms, src.Mechanisms, false)
+			dst.FaultKinds = mergeCountMap(dst.FaultKinds, src.FaultKinds)
+		},
+		func(c ComponentSnapshot) ComponentSnapshot {
 			// Copy the cell list and counter map so the merged snapshot
 			// never aliases b.
 			c.Mechanisms = append([]MechanismSnapshot(nil), c.Mechanisms...)
 			c.FaultKinds = mergeCountMap(nil, c.FaultKinds)
-			byID[c.ID] = c
-			continue
-		}
-		if cur.Name == "" {
-			cur.Name = c.Name
-		}
-		cur.Invokes += c.Invokes
-		cur.Upcalls += c.Upcalls
-		cur.Faults += c.Faults
-		cur.Reboots += c.Reboots
-		cur.Degraded += c.Degraded
-		cur.Mechanisms = mergeMechanisms(cur.Mechanisms, c.Mechanisms, false)
-		cur.FaultKinds = mergeCountMap(cur.FaultKinds, c.FaultKinds)
-		byID[c.ID] = cur
-	}
-	out := make([]ComponentSnapshot, 0, len(byID))
-	for _, c := range byID {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+			return c
+		})
 }

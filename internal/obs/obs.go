@@ -7,7 +7,7 @@
 // This package makes the detection→recovery pipeline measurable
 // end-to-end: the kernel, the C³ runtime, and sgc-generated stubs emit
 // typed events (Invoke, FaultDetected, Reboot, RebuildWalk, Reflect,
-// Upcall, Degraded) into a fixed-capacity ring buffer, and the recorder
+// Upcall, Degraded) into a bounded ring buffer, and the recorder
 // aggregates counters and virtual-time latency histograms keyed by
 // component and by recovery mechanism (R0/T0/T1/D0/D1/G0/G1/U0,
 // the paper's §III-B taxonomy).
@@ -17,9 +17,12 @@
 //   - No dependency on the kernel package: the kernel imports obs, so
 //     obs identifies components and threads with plain int32 and
 //     virtual time with plain int64 (microseconds).
-//   - Allocation-free steady state: the ring is preallocated, event
-//     payloads are value types, and per-component slots are reused, so
-//     recording does not allocate after the first event per component.
+//   - Allocation-free steady state: event payloads are value types and
+//     per-component slots are reused, so recording allocates only on
+//     first sight of a component and while the ring grows. The ring
+//     grows on demand up to its capacity, so a short run (one SWIFI
+//     trial records 11–40 events) pays for the events it records, not
+//     for the full capacity.
 //     The PR-2 alloc-guard tests additionally pin the *disabled* path
 //     (a nil recorder) at zero allocations and zero overhead beyond one
 //     atomic load and a predictable branch.
@@ -343,21 +346,29 @@ type compStats struct {
 // DefaultCapacity is the ring-buffer capacity used by NewRecorder.
 const DefaultCapacity = 4096
 
-// Recorder is the trace sink: a fixed-capacity ring buffer of Events
-// plus per-component/per-mechanism aggregates. A single Recorder is
-// shared by the kernel and the runtime; methods are safe for concurrent
-// use and safe on a nil receiver (a nil *Recorder records nothing).
+// Recorder is the trace sink: a bounded ring buffer of Events plus
+// per-component/per-mechanism aggregates. A single Recorder is shared by
+// the kernel and the runtime; methods are safe for concurrent use and
+// safe on a nil receiver (a nil *Recorder records nothing).
+//
+// The ring grows by append until it holds capacity events, then wraps:
+// the event with sequence number s lives at index (s-1) % capacity. Every
+// index is taken from capacity and len(ring), never from cap(ring),
+// because append may over-allocate.
 //
 // The recorder is intentionally mutex-guarded rather than lock-free:
-// tracing is off by default, the enabled path is not the benchmark
-// configuration, and a single short critical section keeps the ring and
-// the aggregates consistent with each other.
+// tracing is off by default, and a single short critical section keeps
+// the ring and the aggregates consistent with each other. The enabled
+// path is still a benchmarked configuration — traced SWIFI campaigns
+// give every trial its own Recorder (the e2ebench swifi-table2 workload
+// runs traced) — so construction and the first events must stay cheap.
 type Recorder struct {
-	mu    sync.Mutex
-	ring  []Event
-	seq   uint64 // total events ever recorded
-	kinds [numKinds]uint64
-	comps []compStats // index = component ID (slot 0 = "system")
+	mu       sync.Mutex
+	ring     []Event
+	capacity int    // ring bound; len(ring) <= capacity
+	seq      uint64 // total events ever recorded
+	kinds    [numKinds]uint64
+	comps    []compStats // index = component ID (slot 0 = "system")
 
 	// Per-fault-taxonomy counters over EvFaultDetected events: how many
 	// faults of each fault.Kind and fault.Severity were detected.
@@ -428,8 +439,8 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{
-		ring:  make([]Event, 0, capacity),
-		comps: make([]compStats, 0, 16),
+		capacity: capacity,
+		comps:    make([]compStats, 0, 16),
 	}
 }
 
@@ -463,15 +474,16 @@ func (r *Recorder) SetComponentName(comp int32, name string) {
 	r.mu.Unlock()
 }
 
-// push appends ev to the ring (overwriting the oldest event when full)
-// and bumps the kind counter. Caller holds r.mu.
+// push appends ev to the ring (growing it up to capacity, then
+// overwriting the oldest event) and bumps the kind counter. Caller holds
+// r.mu.
 func (r *Recorder) push(ev Event) {
 	r.seq++
 	ev.Seq = r.seq
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.capacity {
 		r.ring = append(r.ring, ev)
 	} else {
-		r.ring[int((r.seq-1)%uint64(cap(r.ring)))] = ev
+		r.ring[int((r.seq-1)%uint64(r.capacity))] = ev
 	}
 	r.kinds[ev.Kind]++
 }
@@ -686,8 +698,8 @@ func (r *Recorder) TotalEvents() uint64 {
 }
 
 // Reset clears the ring and all aggregates, keeping component names and
-// the allocated capacity. SWIFI campaigns call it between trials when
-// they only want per-trial deltas.
+// the ring storage grown so far. SWIFI campaigns call it between trials
+// when they only want per-trial deltas.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

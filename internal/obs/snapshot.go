@@ -146,7 +146,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r != nil {
 		r.mu.Lock()
 		snap.TotalEvents = r.seq
-		snap.Events = ringCopy(r.ring, r.seq)
+		snap.Events = ringCopy(r.ring, r.capacity, r.seq)
 		snap.DroppedEvents = snap.TotalEvents - uint64(len(snap.Events))
 		for kind := EventKind(1); int(kind) < numKinds; kind++ {
 			if n := r.kinds[kind]; n > 0 {
@@ -250,17 +250,17 @@ func (r *Recorder) Snapshot() Snapshot {
 }
 
 // ringCopy rebuilds the ring contents in chronological order: event
-// with sequence number s lives at index (s-1) % cap once the ring has
-// wrapped.
-func ringCopy(ring []Event, seq uint64) []Event {
+// with sequence number s lives at index (s-1) % capacity once the ring
+// has wrapped (len(ring) == capacity).
+func ringCopy(ring []Event, capacity int, seq uint64) []Event {
 	if len(ring) == 0 {
 		return nil
 	}
 	out := make([]Event, 0, len(ring))
-	if len(ring) < cap(ring) || seq <= uint64(len(ring)) {
+	if len(ring) < capacity || seq <= uint64(len(ring)) {
 		return append(out, ring...)
 	}
-	c := uint64(cap(ring))
+	c := uint64(capacity)
 	for s := seq - c + 1; s <= seq; s++ {
 		out = append(out, ring[(s-1)%c])
 	}

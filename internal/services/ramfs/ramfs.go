@@ -37,10 +37,19 @@ const (
 	FnUnlink = "fs_unlink"
 )
 
-// Spec parses the component's IDL specification.
+// Spec parses the component's IDL specification into a fresh, private
+// copy on every call.
 func Spec() (*core.Spec, error) {
 	return idl.Parse("ramfs", idlSrc)
 }
+
+// compiled is the process-wide compiled specification Register boots.
+var compiled = core.CompileOnce(Spec)
+
+// Compiled returns the compiled specification every Register call shares:
+// parsed and compiled once per process, then only read. Use Spec for a
+// private copy to inspect or edit.
+func Compiled() (*core.CompiledSpec, error) { return compiled() }
 
 // IDLSource returns the raw IDL text.
 func IDLSource() string { return idlSrc }
@@ -48,11 +57,11 @@ func IDLSource() string { return idlSrc }
 // Register boots the RamFS into a system. The server depends on the
 // system's cbuf manager and storage component.
 func Register(sys *core.System) (kernel.ComponentID, error) {
-	spec, err := Spec()
+	c, err := compiled()
 	if err != nil {
 		return 0, err
 	}
-	comp, err := sys.RegisterServer(spec, func() kernel.Service { return &Server{sys: sys} })
+	comp, err := sys.RegisterCompiled(c, func() kernel.Service { return &Server{sys: sys} })
 	if err != nil {
 		return 0, err
 	}

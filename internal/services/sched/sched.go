@@ -30,21 +30,30 @@ const (
 	FnRemove = "sched_remove"
 )
 
-// Spec parses the component's IDL specification.
+// Spec parses the component's IDL specification into a fresh, private
+// copy on every call.
 func Spec() (*core.Spec, error) {
 	return idl.Parse("sched", idlSrc)
 }
+
+// compiled is the process-wide compiled specification Register boots.
+var compiled = core.CompileOnce(Spec)
+
+// Compiled returns the compiled specification every Register call shares:
+// parsed and compiled once per process, then only read. Use Spec for a
+// private copy to inspect or edit.
+func Compiled() (*core.CompiledSpec, error) { return compiled() }
 
 // IDLSource returns the raw IDL text.
 func IDLSource() string { return idlSrc }
 
 // Register boots the scheduler component into a system.
 func Register(sys *core.System) (kernel.ComponentID, error) {
-	spec, err := Spec()
+	c, err := compiled()
 	if err != nil {
 		return 0, err
 	}
-	comp, err := sys.RegisterServer(spec, func() kernel.Service { return &Server{} })
+	comp, err := sys.RegisterCompiled(c, func() kernel.Service { return &Server{} })
 	if err != nil {
 		return 0, err
 	}

@@ -117,7 +117,7 @@ func streamCases() []Config {
 			Seed: 7, Profile: Profiles()["lock"], Trace: true, Shape: ShapeStorm, StormFaults: 3},
 		{Service: "ramfs", Workload: Workloads()["ramfs"], Iters: 3, Trials: 30,
 			Seed: 5, Profile: Profiles()["ramfs"], Trace: true, Shape: ShapeDuringRecovery,
-			Kinds: []fault.Kind{fault.KindStorageCrash, fault.KindStorageCorruption, fault.KindRegisterFlip},
+			Kinds:    []fault.Kind{fault.KindStorageCrash, fault.KindStorageCorruption, fault.KindRegisterFlip},
 			Replicas: 3},
 	}
 }
