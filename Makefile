@@ -160,10 +160,13 @@ storage-experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026 -shape storm \
 		-kinds storage-crash,storage-corruption -replicas 1
 
-# Short fuzzing passes over the parsers.
+# Short fuzzing passes over the parsers: the IDL parser, the HTTP request
+# parser (differential against a Split-based reference) and the HTTP head
+# reader (arbitrary read sizes against one whole read).
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/idl
 	$(GO) test -fuzz=FuzzParseRequest -fuzztime=10s ./internal/webserver
+	$(GO) test -fuzz=FuzzReadRequest -fuzztime=10s ./internal/webserver
 
 clean:
 	$(GO) clean ./...

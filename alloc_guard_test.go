@@ -1,8 +1,13 @@
 package superglue
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/core"
@@ -12,6 +17,7 @@ import (
 	"superglue/internal/services/event"
 	"superglue/internal/services/lock"
 	"superglue/internal/storage"
+	"superglue/internal/webserver"
 )
 
 // The allocation budget guards: the steady-state fast paths measured by
@@ -268,5 +274,106 @@ func TestRecorderShortRunBytes(t *testing.T) {
 	runtime.KeepAlive(r)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
 		t.Errorf("NewRecorder(0) + 40 events allocated %d bytes, want < %d", got, budget)
+	}
+}
+
+// loopbackClient is one keep-alive connection to a live webserver.Serve
+// that allocates nothing per request: requests and the expected responses
+// are rendered up front, and each response is read into a fixed buffer.
+type loopbackClient struct {
+	conn  net.Conn
+	reqs  [][]byte
+	resps [][]byte
+	buf   []byte
+	stop  func() error
+	n     int
+}
+
+// startLoopback serves the default site from a SuperGlue server on a
+// loopback listener and dials one connection to it.
+func startLoopback(tb testing.TB) *loopbackClient {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	files := webserver.DefaultFiles()
+	done := make(chan error, 1)
+	go func() {
+		done <- webserver.Serve(ln, webserver.Config{Variant: webserver.VariantSuperGlue, Files: files})
+	}()
+	c := &loopbackClient{stop: func() error {
+		_ = ln.Close()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("Serve did not return after listener close")
+		}
+	}}
+	if c.conn, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		_ = c.stop()
+		tb.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		p := fmt.Sprintf("/f%d.html", i)
+		c.reqs = append(c.reqs, webserver.FormatRequest(p, true))
+		c.resps = append(c.resps, webserver.FormatResponse(200, files[p]))
+		c.buf = make([]byte, max(len(c.buf), len(c.resps[i])))
+	}
+	return c
+}
+
+// do sends the next request and checks the response byte for byte.
+func (c *loopbackClient) do() error {
+	i := c.n % len(c.reqs)
+	c.n++
+	if _, err := c.conn.Write(c.reqs[i]); err != nil {
+		return err
+	}
+	got := c.buf[:len(c.resps[i])]
+	if _, err := io.ReadFull(c.conn, got); err != nil {
+		return err
+	}
+	if !bytes.Equal(got, c.resps[i]) {
+		return fmt.Errorf("response %d = %q; want %q", c.n, got, c.resps[i])
+	}
+	return nil
+}
+
+// close hangs up and stops the server.
+func (c *loopbackClient) close() error {
+	_ = c.conn.Close()
+	return c.stop()
+}
+
+// TestServeLoopbackAllocs guards the live request path end to end: 2000
+// keep-alive GETs over loopback through webserver.Serve, from a client
+// that allocates nothing per request, may cost the whole process at most
+// 12 heap allocations per request. The HTTP edge reuses its head buffer,
+// parses each head once and renders into a per-connection buffer, so what
+// remains is the component path and the parsed Request (the edge used to
+// add ~20 more).
+func TestServeLoopbackAllocs(t *testing.T) {
+	const requests, budget = 2000, 12
+	c := startLoopback(t)
+	for i := 0; i < 200; i++ { // warm: caches, buffers, descriptors
+		if err := c.do(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		if err := c.do(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err := c.close(); err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / requests; per > budget {
+		t.Errorf("a live keep-alive request costs %.1f allocations, want <= %d", per, budget)
 	}
 }

@@ -7,7 +7,8 @@
 //	Table II  — BenchmarkSWIFICampaign (injections/sec; the table itself is
 //	            `go run ./cmd/swifi`)
 //	Fig. 7    — BenchmarkWebServer/{baseline,composite,c3,superglue,
-//	            superglue-faults}, reporting req/s
+//	            superglue-faults}, reporting req/s; BenchmarkServeLoopback
+//	            is the same server live, over a loopback socket
 //
 // Run with: go test -bench=. -benchmem
 package superglue
@@ -171,6 +172,24 @@ func BenchmarkWebServer(b *testing.B) {
 func BenchmarkKernelInvoke(b *testing.B) {
 	b.ReportAllocs()
 	if err := experiments.KernelInvokeBench(b.N, b.ResetTimer); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkServeLoopback measures one keep-alive GET through the live
+// server (webserver.Serve) over a real loopback socket: HTTP edge, bridge,
+// netif and worker threads and the component path, one connection.
+func BenchmarkServeLoopback(b *testing.B) {
+	c := startLoopback(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.do(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := c.close(); err != nil {
 		b.Fatal(err)
 	}
 }

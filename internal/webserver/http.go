@@ -32,41 +32,76 @@ var (
 )
 
 // ParseRequest parses an HTTP/1.x request head (through the blank line).
+// It walks the head once: lines end at "\r\n", the request line splits at
+// its two spaces, and the result's strings share one copy of the head.
 func ParseRequest(raw []byte) (*Request, error) {
 	head := raw
 	if idx := bytes.Index(raw, []byte("\r\n\r\n")); idx >= 0 {
 		head = raw[:idx]
 	}
-	lines := strings.Split(string(head), "\r\n")
-	if len(lines) == 0 || lines[0] == "" {
+	line, rest, more := strings.Cut(string(head), "\r\n")
+	if line == "" {
 		return nil, fmt.Errorf("%w: empty request", ErrMalformedRequest)
 	}
-	parts := strings.Split(lines[0], " ")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformedRequest, lines[0])
+	method, target, ok1 := strings.Cut(line, " ")
+	path, proto, ok2 := strings.Cut(target, " ")
+	if !ok1 || !ok2 || strings.IndexByte(proto, ' ') >= 0 {
+		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformedRequest, line)
 	}
-	req := &Request{Method: parts[0], Path: parts[1], Proto: parts[2], Headers: make(map[string]string)}
-	if req.Method != "GET" && req.Method != "HEAD" {
-		return nil, fmt.Errorf("%w: %s", ErrUnsupportedMethod, req.Method)
+	if method != "GET" && method != "HEAD" {
+		return nil, fmt.Errorf("%w: %s", ErrUnsupportedMethod, method)
 	}
-	if !strings.HasPrefix(req.Proto, "HTTP/1.") {
-		return nil, fmt.Errorf("%w: protocol %q", ErrMalformedRequest, req.Proto)
+	if !strings.HasPrefix(proto, "HTTP/1.") {
+		return nil, fmt.Errorf("%w: protocol %q", ErrMalformedRequest, proto)
 	}
-	if !strings.HasPrefix(req.Path, "/") {
-		return nil, fmt.Errorf("%w: path %q", ErrMalformedRequest, req.Path)
+	if !strings.HasPrefix(path, "/") {
+		return nil, fmt.Errorf("%w: path %q", ErrMalformedRequest, path)
 	}
-	for _, line := range lines[1:] {
+	req := &Request{Method: method, Path: path, Proto: proto, Headers: make(map[string]string)}
+	for more {
+		line, rest, more = strings.Cut(rest, "\r\n")
 		if line == "" {
 			break
 		}
-		ci := strings.Index(line, ":")
-		if ci <= 0 {
+		name, value, ok := strings.Cut(line, ":")
+		if !ok || name == "" {
 			return nil, fmt.Errorf("%w: header %q", ErrMalformedRequest, line)
 		}
-		key := strings.ToLower(strings.TrimSpace(line[:ci]))
-		req.Headers[key] = strings.TrimSpace(line[ci+1:])
+		req.Headers[headerKey(strings.TrimSpace(name))] = strings.TrimSpace(value)
 	}
 	return req, nil
+}
+
+// headerKey lower-cases a header name. Host and Connection, which every
+// request carries, match under ASCII-only case folding and map to shared
+// constants without allocating; any other name goes through
+// strings.ToLower. Unicode folding would be wrong here: strings.EqualFold
+// matches "Hoſt" (U+017F) to "host", which ToLower does not.
+func headerKey(name string) string {
+	for _, k := range [...]string{"host", "connection"} {
+		if asciiEqualFold(name, k) {
+			return k
+		}
+	}
+	return strings.ToLower(name)
+}
+
+// asciiEqualFold reports whether s equals the lower-case ASCII string lower
+// when ASCII letters in s are folded to lower case.
+func asciiEqualFold(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // FormatRequest renders a GET request for the load generator.
@@ -94,18 +129,37 @@ func statusText(code int) string {
 	}
 }
 
-// FormatResponse renders an HTTP/1.1 response.
+// FormatResponse renders an HTTP/1.1 response into one exactly-sized slice.
 func FormatResponse(code int, body []byte) []byte {
-	var b bytes.Buffer
-	b.WriteString("HTTP/1.1 ")
-	b.WriteString(strconv.Itoa(code))
-	b.WriteByte(' ')
-	b.WriteString(statusText(code))
-	b.WriteString("\r\nServer: superglue-ws\r\nContent-Length: ")
-	b.WriteString(strconv.Itoa(len(body)))
-	b.WriteString("\r\n\r\n")
-	b.Write(body)
-	return b.Bytes()
+	n := len("HTTP/1.1 ") + decimalLen(code) + 1 + len(statusText(code)) +
+		len("\r\nServer: superglue-ws\r\nContent-Length: ") + decimalLen(len(body)) +
+		len("\r\n\r\n") + len(body)
+	return appendResponse(make([]byte, 0, n), code, body)
+}
+
+// appendResponse appends the response FormatResponse renders to dst.
+func appendResponse(dst []byte, code int, body []byte) []byte {
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(code), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, statusText(code)...)
+	dst = append(dst, "\r\nServer: superglue-ws\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	dst = append(dst, "\r\n\r\n"...)
+	return append(dst, body...)
+}
+
+// decimalLen is the length of n in base 10, sign included.
+func decimalLen(n int) int {
+	l := 1
+	if n < 0 {
+		l++
+	}
+	for n <= -10 || n >= 10 {
+		n /= 10
+		l++
+	}
+	return l
 }
 
 // ParseResponseStatus extracts the status code of a rendered response.

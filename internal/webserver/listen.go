@@ -2,7 +2,6 @@ package webserver
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -13,10 +12,15 @@ import (
 	"superglue/internal/kernel"
 )
 
-// inflight is one externally submitted request awaiting simulated service.
+// inflight is one connection's request in flight through the simulation.
+// The connection goroutine owns it between requests; from submit until the
+// done signal the simulation does. It is reused for every request on the
+// connection, so the steady state allocates neither it nor its channel.
 type inflight struct {
-	raw  []byte
-	resp chan []byte
+	req  *Request      // parsed head; nil when err is set
+	err  error         // parse error, served as a 400
+	out  []byte        // the rendered response, reused across requests
+	done chan struct{} // signaled once out holds the response
 }
 
 // bridge connects real I/O goroutines to the simulated machine: connection
@@ -26,6 +30,7 @@ type inflight struct {
 type bridge struct {
 	mu      sync.Mutex
 	queue   []*inflight
+	head    int // index of the next request to pop
 	stopped bool
 
 	arrivals chan struct{} // signaled on enqueue and on stop
@@ -37,30 +42,34 @@ func newBridge(k *kernel.Kernel) *bridge {
 	return &bridge{arrivals: make(chan struct{}, 1), k: k}
 }
 
-// submit hands a request to the simulation and returns its response channel.
-func (b *bridge) submit(raw []byte) (chan []byte, error) {
-	req := &inflight{raw: raw, resp: make(chan []byte, 1)}
+// submit hands a request to the simulation; in.done signals its response.
+func (b *bridge) submit(in *inflight) error {
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
-		return nil, errors.New("webserver: shutting down")
+		return errors.New("webserver: shutting down")
 	}
-	b.queue = append(b.queue, req)
+	b.queue = append(b.queue, in)
 	b.mu.Unlock()
 	b.kick()
-	return req.resp, nil
+	return nil
 }
 
 // pop removes the next queued request (nil when empty), and reports whether
-// the bridge has been stopped.
+// the bridge has been stopped. A drained queue restarts at the front of its
+// backing array, so a steady stream reuses it.
 func (b *bridge) pop() (*inflight, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
+	if b.head == len(b.queue) {
 		return nil, b.stopped
 	}
-	req := b.queue[0]
-	b.queue = b.queue[1:]
+	req := b.queue[b.head]
+	b.queue[b.head] = nil
+	b.head++
+	if b.head == len(b.queue) {
+		b.queue, b.head = b.queue[:0], 0
+	}
 	return req, b.stopped
 }
 
@@ -72,31 +81,24 @@ func (b *bridge) stop() {
 	b.kick()
 }
 
-// kick signals the idle handler and wakes the simulated netif thread.
+// kick wakes the simulated netif thread, then signals the idle handler.
+// This is the one wake-up an arrival causes. The wake-up comes first, so by
+// the time the idle handler sees the signal the netif thread is runnable
+// (or, if it was running, will find its next Block already satisfied).
 func (b *bridge) kick() {
+	_ = b.k.ExternalWakeup(b.netifTID) // pre-halt errors are benign here
 	select {
 	case b.arrivals <- struct{}{}:
 	default:
 	}
-	_ = b.k.ExternalWakeup(b.netifTID) // pre-halt errors are benign here
 }
 
-// idle is the kernel idle handler: park until work or shutdown.
+// idle is the kernel idle handler: park until an arrival or shutdown has
+// been kicked. It wakes nobody itself; a signal left over from an arrival
+// the netif thread already took only costs one more scheduling pass.
 func (b *bridge) idle() bool {
-	b.mu.Lock()
-	pending := len(b.queue) > 0
-	stopped := b.stopped
-	b.mu.Unlock()
-	if pending || stopped {
-		_ = b.k.ExternalWakeup(b.netifTID)
-		return true
-	}
 	_, ok := <-b.arrivals
-	if !ok {
-		return false
-	}
-	_ = b.k.ExternalWakeup(b.netifTID)
-	return true
+	return ok
 }
 
 // Serve accepts HTTP connections on ln and services every request through
@@ -194,15 +196,20 @@ func Serve(ln net.Listener, cfg Config) error {
 					fail(fmt.Errorf("worker%d wait: %w", w, err))
 					return
 				}
-				for len(inboxes[w]) > 0 {
-					req := inboxes[w][0]
-					inboxes[w] = inboxes[w][1:]
-					if req == nil { // poison: shutdown
+				// Serving can block, and netif may append meanwhile: the
+				// bound is re-read every step, and the inbox restarts at
+				// its front only once drained.
+				for i := 0; i < len(inboxes[w]); i++ {
+					in := inboxes[w][i]
+					inboxes[w][i] = nil
+					if in == nil { // poison: shutdown
 						return
 					}
-					req.resp <- serveOne(t, svc, cacheLock, fdCache, req.raw)
+					serveOne(t, svc, cacheLock, fdCache, in)
+					in.done <- struct{}{}
 					completed++
 				}
+				inboxes[w] = inboxes[w][:0]
 			}
 		}); err != nil {
 			return err
@@ -321,65 +328,85 @@ func Serve(ln net.Listener, cfg Config) error {
 	return nil
 }
 
-// serveOne services one raw request through the component path and renders
-// the response.
-func serveOne(t *kernel.Thread, svc *services, cacheLock kernel.Word, fdCache map[string]kernel.Word, raw []byte) []byte {
-	req, err := ParseRequest(raw)
-	if err != nil {
-		return FormatResponse(400, []byte(err.Error()))
+// serveOne services one parsed request through the component path and
+// renders the response into in.out. A head that did not parse gets a 400
+// carrying the parse error.
+func serveOne(t *kernel.Thread, svc *services, cacheLock kernel.Word, fdCache map[string]kernel.Word, in *inflight) {
+	if in.err != nil {
+		in.out = appendResponse(in.out[:0], 400, []byte(in.err.Error()))
+		return
 	}
-	body, found, err := readFile(t, svc, cacheLock, fdCache, req.Path)
-	if err != nil {
-		return FormatResponse(500, []byte(err.Error()))
+	body, found, err := readFile(t, svc, cacheLock, fdCache, in.req.Path)
+	switch {
+	case err != nil:
+		in.out = appendResponse(in.out[:0], 500, []byte(err.Error()))
+	case !found:
+		in.out = appendResponse(in.out[:0], 404, []byte("not found"))
+	default:
+		in.out = appendResponse(in.out[:0], 200, body)
 	}
-	if !found {
-		return FormatResponse(404, []byte("not found"))
-	}
-	return FormatResponse(200, body)
 }
 
 // handleConn reads HTTP/1.1 requests off one connection and writes the
-// simulation's responses back, honoring keep-alive.
+// simulation's responses back, honoring keep-alive. Each head is read into
+// the connection's one head buffer and parsed once; the parse travels with
+// the request and also decides keep-alive.
 func handleConn(conn net.Conn, br *bridge) {
 	r := bufio.NewReader(conn)
+	in := &inflight{done: make(chan struct{}, 1)}
+	var head []byte
 	for {
-		raw, err := readRequest(r)
-		if err != nil {
+		var err error
+		if head, err = readRequest(r, head); err != nil {
 			return // EOF or malformed framing: drop the connection
 		}
-		respCh, err := br.submit(raw)
-		if err != nil {
+		in.req, in.err = ParseRequest(head)
+		if err := br.submit(in); err != nil {
 			return
 		}
-		resp := <-respCh
-		if _, err := conn.Write(resp); err != nil {
+		<-in.done
+		if _, err := conn.Write(in.out); err != nil {
 			return
 		}
-		if req, perr := ParseRequest(raw); perr == nil &&
-			req.Headers["connection"] == "close" {
+		if in.err == nil && in.req.Headers["connection"] == "close" {
 			return
 		}
 	}
 }
 
-// readRequest reads one request head (through the blank line). Bodies are
-// not supported (GET/HEAD only).
-func readRequest(r *bufio.Reader) ([]byte, error) {
-	var buf bytes.Buffer
+// maxHeadBytes caps a request head. The cap is checked on every fragment
+// the reader hands back, so a head line that never ends costs at most this
+// much plus one bufio buffer.
+const maxHeadBytes = 64 * 1024
+
+// errHeadTooLarge reports a request head longer than maxHeadBytes.
+var errHeadTooLarge = errors.New("webserver: request head too large")
+
+// readRequest reads one request head (through the blank line) into buf,
+// which it reuses from its start, and returns the filled buffer. Bodies are
+// not supported (GET/HEAD only). It returns io.EOF when the stream ends
+// before any byte of a head.
+func readRequest(r *bufio.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	line := 0 // start of the current line in buf
 	for {
-		line, err := r.ReadBytes('\n')
-		buf.Write(line)
-		if err != nil {
-			if buf.Len() == 0 {
-				return nil, io.EOF
+		frag, err := r.ReadSlice('\n')
+		if len(buf)+len(frag) > maxHeadBytes {
+			return buf, errHeadTooLarge
+		}
+		buf = append(buf, frag...)
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue // the line goes on past the bufio buffer
+		case err != nil:
+			if len(buf) == 0 {
+				return buf, io.EOF
 			}
-			return nil, err
+			return buf, err
 		}
-		if bytes.Equal(line, []byte("\r\n")) || bytes.Equal(line, []byte("\n")) {
-			return buf.Bytes(), nil
+		if n := len(buf) - line; n == 1 || (n == 2 && buf[line] == '\r') {
+			return buf, nil
 		}
-		if buf.Len() > 64*1024 {
-			return nil, errors.New("webserver: request head too large")
-		}
+		line = len(buf)
 	}
 }
