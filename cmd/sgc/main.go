@@ -6,7 +6,7 @@
 //
 //	sgc [-o dir] [-print] [-loc] file.sg [file2.sg ...]
 //	sgc -builtin [-o dir] [-loc]
-//	sgc vet [-builtin] [-gen] [-gendir dir] [-format text|sarif] [file.sg ...]
+//	sgc vet [-builtin] [-format text|sarif] [file.sg ...]
 //	sgc check [-builtin] [-k n] [-m n] [-policy strat] [-fail-hard]
 //	          [-run SG2xx,...] [-repro] [-trajectory] [-budget dur]
 //	          [-max-states n] [-format text|sarif] [-o file] [file.sg ...]
@@ -15,15 +15,14 @@
 // The service name is derived from each file's base name (event.sg →
 // service "event", package "genevent"). -builtin compiles the six embedded
 // system-service specifications of the evaluation. -loc prints the
-// IDL-vs-generated line counts that feed Fig. 6(c).
+// IDL-vs-generated line counts of Fig. 6(c), both sides counted by
+// experiments.CountLOC (no blank or comment lines).
 //
 // The vet subcommand runs the semantic spec lints of
 // internal/analysis/speclint over the given specifications (SG1xx
 // diagnostics: unreachable states, descriptor leaks, hold/wakeup pairing,
-// shadowed transitions, mechanism coverage) and, with -gen, checks the
-// committed generated stubs for drift against the generator. It exits
-// nonzero if any warning- or error-severity diagnostic fires, or if any
-// committed stub is stale.
+// shadowed transitions, mechanism coverage). It exits nonzero if any
+// warning- or error-severity diagnostic fires.
 //
 // The check subcommand runs the bounded exhaustive recovery model checker
 // of internal/analysis/model over the given specifications (SG2xx
@@ -60,7 +59,6 @@ import (
 	"strings"
 	"time"
 
-	"superglue/internal/analysis/driftcheck"
 	"superglue/internal/analysis/model"
 	"superglue/internal/analysis/sarif"
 	"superglue/internal/analysis/speclint"
@@ -197,11 +195,11 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		genLines := 0
-		for _, fname := range sortedNames(files) {
-			genLines += strings.Count(files[fname], "\n")
-		}
 		if *loc {
+			genLines := 0
+			for _, fname := range sortedNames(files) {
+				genLines += experiments.CountLOC(files[fname])
+			}
 			fmt.Fprintf(out, "%-8s IDL %3d LOC → generated %4d LOC (client+server stubs)\n",
 				s.service, experiments.CountLOC(s.src), genLines)
 		}
@@ -286,13 +284,10 @@ func runDoc(args []string, out *os.File) error {
 	return nil
 }
 
-// runVet implements `sgc vet`: speclint over specifications plus the
-// generated-stub drift check.
+// runVet implements `sgc vet`: speclint over specifications.
 func runVet(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("sgc vet", flag.ContinueOnError)
 	useBuiltin := fs.Bool("builtin", false, "lint the six built-in system-service specifications")
-	gen := fs.Bool("gen", false, "check committed generated stubs for drift against the generator")
-	genDir := fs.String("gendir", "internal/gen", "directory holding the committed generated packages")
 	format := fs.String("format", "text", "output format: text or sarif")
 	outPath := fs.String("o", "", "output file for -format sarif (default stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -301,13 +296,12 @@ func runVet(args []string, out *os.File) error {
 	if *format != "text" && *format != "sarif" {
 		return fmt.Errorf("vet: unknown format %q (want text or sarif)", *format)
 	}
-	if !*useBuiltin && !*gen && fs.NArg() == 0 {
-		return fmt.Errorf("vet: no input: pass .sg files, -builtin, or -gen")
-	}
-
 	sources, err := gatherSources(*useBuiltin, fs.Args())
 	if err != nil {
 		return err
+	}
+	if len(sources) == 0 {
+		return fmt.Errorf("vet: no input: pass .sg files or -builtin")
 	}
 	var sb *sarif.Builder
 	if *format == "sarif" {
@@ -328,23 +322,6 @@ func runVet(args []string, out *os.File) error {
 			if d.Severity >= speclint.SevWarn {
 				bad = true
 			}
-		}
-	}
-	if *gen {
-		drifts, err := driftcheck.Check(*genDir)
-		if err != nil {
-			return err
-		}
-		for _, d := range drifts {
-			if sb != nil {
-				sb.Add("SGDRIFT", "error", d.String(), d.Path, 0, nil)
-			} else {
-				fmt.Fprintln(out, d)
-			}
-			bad = true
-		}
-		if len(drifts) == 0 && sb == nil {
-			fmt.Fprintf(out, "gen: committed stubs under %s match the generator\n", *genDir)
 		}
 	}
 	if sb != nil {

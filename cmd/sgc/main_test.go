@@ -3,8 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"superglue/internal/experiments"
 )
 
 // writeTempSG drops a small valid specification into a temp dir.
@@ -53,9 +56,41 @@ func TestRunCompilesFileToDirectory(t *testing.T) {
 	}
 }
 
+// TestRunBuiltinNeedsNoFiles compiles the embedded specifications and pins
+// the `-loc` table to Fig. 6(c) row by row: both count with
+// experiments.CountLOC.
 func TestRunBuiltinNeedsNoFiles(t *testing.T) {
-	if err := run([]string{"-builtin", "-loc"}, os.Stdout); err != nil {
+	out, err := capture(t, func(w *os.File) error {
+		return run([]string{"-builtin", "-loc"}, w)
+	})
+	if err != nil {
 		t.Fatalf("run -builtin: %v", err)
+	}
+	got := map[string][2]int{}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		// "lock     IDL  19 LOC → generated  302 LOC (client+server stubs)"
+		f := strings.Fields(line)
+		if len(f) < 7 {
+			t.Fatalf("unparseable -loc line %q", line)
+		}
+		idl, err1 := strconv.Atoi(f[2])
+		gen, err2 := strconv.Atoi(f[6])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparseable -loc line %q", line)
+		}
+		got[f[0]] = [2]int{idl, gen}
+	}
+	rows, err := experiments.Fig6c()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("-loc printed %d services; Fig. 6(c) has %d rows:\n%s", len(got), len(rows), out)
+	}
+	for _, r := range rows {
+		if want := [2]int{r.IDLLOC, r.GeneratedLOC}; got[r.Service] != want {
+			t.Errorf("%s: -loc (IDL, generated) = %v; Fig. 6(c) = %v", r.Service, got[r.Service], want)
+		}
 	}
 }
 
@@ -150,31 +185,6 @@ int  ctr_free(desc(long ctrid));
 	}
 	if !strings.Contains(out, "SG103") {
 		t.Errorf("vet output should carry SG103:\n%s", out)
-	}
-}
-
-func TestVetGenDrift(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-builtin", "-o", dir}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := capture(t, func(w *os.File) error {
-		return runVet([]string{"-gen", "-gendir", dir}, w)
-	}); err != nil {
-		t.Fatalf("vet -gen on a fresh tree: %v", err)
-	}
-	victim := filepath.Join(dir, "gensched", "server_stub.go")
-	if err := os.WriteFile(victim, []byte("package gensched\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := capture(t, func(w *os.File) error {
-		return runVet([]string{"-gen", "-gendir", dir}, w)
-	})
-	if err == nil {
-		t.Fatal("vet -gen missed a tampered stub")
-	}
-	if !strings.Contains(out, "gensched") || !strings.Contains(out, "stale") {
-		t.Errorf("drift output should name the stale file:\n%s", out)
 	}
 }
 

@@ -1,6 +1,11 @@
 package codegen
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -55,14 +60,19 @@ func TestRegistryHas72Pairs(t *testing.T) {
 	}
 }
 
-// TestGenerateAllServicesParses generates both stubs for every service; the
-// emitter runs go/format on the output, so success implies parseable code.
+// TestGenerateAllServicesParses generates both stubs for every service and
+// type-checks each generated package from source against genrt, core and
+// kernel, so sgc output compiles without a committed copy of it: renaming
+// or removing a genrt symbol the generator emits fails here.
 func TestGenerateAllServicesParses(t *testing.T) {
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	for name, ir := range serviceIRs(t) {
 		files, err := Generate(ir)
 		if err != nil {
 			t.Fatalf("Generate(%s): %v", name, err)
 		}
+		var asts []*ast.File
 		for fname, content := range files {
 			if !strings.Contains(content, "DO NOT EDIT") {
 				t.Errorf("%s/%s missing generated-code marker", name, fname)
@@ -70,6 +80,14 @@ func TestGenerateAllServicesParses(t *testing.T) {
 			if len(content) < 200 {
 				t.Errorf("%s/%s suspiciously small (%d bytes)", name, fname, len(content))
 			}
+			f, err := parser.ParseFile(fset, ir.Package()+"/"+fname, content, 0)
+			if err != nil {
+				t.Fatalf("parse %s/%s: %v", name, fname, err)
+			}
+			asts = append(asts, f)
+		}
+		if _, err := conf.Check(ir.Package(), fset, asts, nil); err != nil {
+			t.Errorf("type-check %s: %v", ir.Package(), err)
 		}
 	}
 }

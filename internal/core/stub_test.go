@@ -352,8 +352,14 @@ func TestRecoveryRestoresHeldLock(t *testing.T) {
 		if _, err := st.Call(th, "lock_release", 0, id); err != nil {
 			t.Errorf("release after fault: %v", err)
 		}
-		if st.Metrics().HoldReplays == 0 {
-			t.Error("hold not replayed during recovery")
+		if m := st.Metrics(); m.Recoveries == 0 || m.HoldReplays == 0 {
+			t.Errorf("metrics = %+v; want a recovery with a hold replay", m)
+		}
+		if _, err := st.Call(th, "lock_free", id); err != nil {
+			t.Errorf("free after recovered release: %v", err)
+		}
+		if n := st.Tracked(); n != 0 {
+			t.Errorf("tracked descriptors after free = %d; want 0", n)
 		}
 	})
 }
@@ -509,6 +515,9 @@ func TestParentRecoveredBeforeChild(t *testing.T) {
 		}
 		if cd.Parent != pd {
 			t.Error("child lost its parent link")
+		}
+		if m := st.Metrics(); m.WalkSteps < 2 {
+			t.Errorf("walk steps = %d; want ≥ 2 (parent then child)", m.WalkSteps)
 		}
 	}); err != nil {
 		t.Fatalf("CreateThread: %v", err)

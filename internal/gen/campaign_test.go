@@ -1,3 +1,5 @@
+//go:build sgcstubs
+
 package gen
 
 import (

@@ -1,7 +1,8 @@
-// Package gen holds the sgc-generated interface stubs (one package per
-// service) and the tests that drive them through fault injection, proving
-// the generated code — not just the spec-interpreting runtime — performs
-// interface-driven recovery.
+//go:build sgcstubs
+
+// The scenarios in this file run with the sgcstubs tag, inside the child
+// `go test` that stubs_test.go starts over the generated packages.
+
 package gen
 
 import (

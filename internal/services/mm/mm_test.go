@@ -191,6 +191,9 @@ func TestRecoveryRebuildsAliasChain(t *testing.T) {
 		if m.WalkSteps < 3 {
 			t.Errorf("walk steps = %d; want ≥ 3 (root + two aliases rebuilt)", m.WalkSteps)
 		}
+		if got := r.c.Stub().Tracked(); got != 0 {
+			t.Errorf("tracked descriptors after recovered release = %d; want 0", got)
+		}
 	})
 }
 

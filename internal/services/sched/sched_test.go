@@ -40,49 +40,64 @@ func TestSpecMechanisms(t *testing.T) {
 	}
 }
 
+// TestSetupBlkWakeupRemove runs a block/wakeup handoff, once failure-free
+// and once with the scheduler failed while a thread is blocked in it: the
+// blocked thread is diverted (T0) and the wakeup after the fault recovers
+// both descriptors and still resumes it.
 func TestSetupBlkWakeupRemove(t *testing.T) {
-	sys, comp, c := newSys(t)
-	k := sys.Kernel()
-	var aID kernel.ThreadID
-	resumed := false
-	var err error
-	aID, err = k.CreateThread(nil, "a", 9, func(th *kernel.Thread) {
-		if _, err := c.Setup(th, 9); err != nil {
-			return
+	for _, fault := range []bool{false, true} {
+		sys, comp, c := newSys(t)
+		k := sys.Kernel()
+		var aID kernel.ThreadID
+		resumed := false
+		var err error
+		aID, err = k.CreateThread(nil, "a", 9, func(th *kernel.Thread) {
+			if _, err := c.Setup(th, 9); err != nil {
+				return
+			}
+			if err := c.Blk(th); err != nil {
+				t.Errorf("fault=%v: Blk: %v", fault, err)
+				return
+			}
+			resumed = true
+		})
+		if err != nil {
+			t.Fatalf("CreateThread: %v", err)
 		}
-		if err := c.Blk(th); err != nil {
-			return
+		if _, err := k.CreateThread(nil, "b", 10, func(th *kernel.Thread) {
+			if _, err := c.Setup(th, 10); err != nil {
+				t.Errorf("Setup: %v", err)
+				return
+			}
+			if fault {
+				if err := k.FailComponent(comp); err != nil {
+					t.Errorf("FailComponent: %v", err)
+				}
+			}
+			if err := c.Wakeup(th, aID); err != nil {
+				t.Errorf("fault=%v: Wakeup: %v", fault, err)
+			}
+			if err := c.Remove(th, th.ID()); err != nil {
+				t.Errorf("fault=%v: Remove: %v", fault, err)
+			}
+		}); err != nil {
+			t.Fatalf("CreateThread: %v", err)
 		}
-		resumed = true
-	})
-	if err != nil {
-		t.Fatalf("CreateThread: %v", err)
-	}
-	if _, err := k.CreateThread(nil, "b", 10, func(th *kernel.Thread) {
-		if _, err := c.Setup(th, 10); err != nil {
-			t.Errorf("Setup: %v", err)
-			return
+		if err := k.Run(); err != nil {
+			t.Fatalf("fault=%v: Run: %v", fault, err)
 		}
-		if err := c.Wakeup(th, aID); err != nil {
-			t.Errorf("Wakeup: %v", err)
+		if !resumed {
+			t.Fatalf("fault=%v: blocked thread never resumed", fault)
 		}
-		if err := c.Remove(th, th.ID()); err != nil {
-			t.Errorf("Remove: %v", err)
+		if m := c.Stub().Metrics(); fault && (m.Recoveries < 2 || m.Redos == 0) {
+			t.Errorf("metrics = %+v; want both descriptors recovered and a redo", m)
 		}
-	}); err != nil {
-		t.Fatalf("CreateThread: %v", err)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !resumed {
-		t.Fatal("blocked thread never resumed")
-	}
-	svc, _ := k.Service(comp)
-	type innerer interface{ Inner() kernel.Service }
-	srv := svc.(innerer).Inner().(*Server)
-	if srv.Registered() != 1 {
-		t.Fatalf("registered = %d; want 1 (one removed)", srv.Registered())
+		svc, _ := k.Service(comp)
+		type innerer interface{ Inner() kernel.Service }
+		srv := svc.(innerer).Inner().(*Server)
+		if srv.Registered() != 1 {
+			t.Fatalf("fault=%v: registered = %d; want 1 (one removed)", fault, srv.Registered())
+		}
 	}
 }
 
